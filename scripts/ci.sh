@@ -301,6 +301,33 @@ PY
     rm -f "$serve_json"
 }
 
+# ---------------------------------------------------------------------------
+# `--perfbench-only`: the repository's benchmark (perfbench/, BENCHMARK.json)
+# as a correctness smoke.  One short run per workload; each must end with a
+# result line reading "correct": true and "failed": 0 -- every compiled cell
+# passed the benchmark's own output check and every served request was ok.
+# No timing is gated: shared runners are too noisy for the benchmark's
+# bounds.  Not part of the full run, because perfbench builds the C kernel
+# in place and the kernel=python leg must never have it.
+# ---------------------------------------------------------------------------
+if [ "${1:-}" = "--perfbench-only" ]; then
+    for workload in paper-qft routed-mix serve-mix; do
+        echo "=== perfbench: $workload (correctness only, no timing gate) ==="
+        bench_out=$(python3 perfbench/run.py --workload "$workload" \
+            --seed 1 --seconds 5 --trace 0)
+        printf '%s\n' "$bench_out" | tail -1 | python3 -c '
+import json, sys
+result = json.loads(sys.stdin.read())
+if result.get("correct") is not True or result.get("failed") != 0:
+    raise SystemExit(f"ci.sh: FAIL - perfbench {sys.argv[1]}: {result}")
+attempted = result["attempted"]
+print(f"perfbench {sys.argv[1]} ok: {attempted} operations, 0 failed")
+' "$workload"
+    done
+    echo "ci.sh: perfbench-only run complete"
+    exit 0
+fi
+
 if [ "${1:-}" = "--serve-only" ]; then
     echo "=== serve tests: tests/test_serve/ + public-surface contract ==="
     PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest \

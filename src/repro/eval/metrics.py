@@ -1,36 +1,30 @@
 """Result records and metric extraction for the evaluation harness.
 
-Metric extraction is vectorized: one pass packs the op stream into numpy
-arrays (kind codes, physical operands), after which the gate counts are
-``count_nonzero`` calls and the ASAP depths run as a *chunked scan* -- the
-stream is cut into maximal runs of qubit-disjoint ops (no op in a chunk
-shares a qubit with an earlier op of the same chunk), and each chunk updates
-the per-qubit busy times with one vector gather/scatter.  Mapped streams
-come out of the schedulers in parallel waves, so chunks are wide and the
-number of python-level iterations drops from #ops (~1M at 1024 qubits, the
-full-Python pass the ROADMAP flags) to roughly the circuit depth.  The
-scalar reference (:func:`repro.circuit.schedule.asap_depth`) is kept and the
-equivalence is covered by tests; topologies that override the scalar
-``op_latency`` without providing the vectorized ``op_latency_array`` fall
-back to the reference path automatically.
+Every compile row takes its metrics from :func:`fast_metrics`: the op stream
+is packed once into numpy arrays (:func:`mapped_op_arrays`), priced by the
+topology's cost model, and scanned once by :func:`asap_depths`, a plain
+Python loop over lists that computes the weighted and the unit ASAP depth
+together; the SWAP/CPHASE counts are ``count_nonzero`` calls on the packed
+kinds.  The scalar reference :func:`repro.circuit.schedule.asap_depth`
+(behind ``MappedCircuit.depth()`` / ``unit_depth()``) stays as the oracle
+the tests pin this path to.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from ..circuit.gates import KIND_CODES, GateKind
-from ..circuit.schedule import MappedCircuit, asap_depth
+from ..circuit.schedule import MappedCircuit
 
 __all__ = [
     "CompilationResult",
     "result_from_mapped",
     "mapped_op_arrays",
-    "fast_asap_depth",
+    "asap_depths",
     "fast_metrics",
 ]
 
@@ -59,129 +53,71 @@ def mapped_op_arrays(
     return kinds, q0, q1
 
 
-def _chunk_bounds(q0: np.ndarray, q1: np.ndarray, num_sites: int) -> list:
-    """Cut a barrier-free run of ops into maximal qubit-disjoint chunks.
+def asap_depths(q0, q1, lat, num_sites: int) -> Tuple[int, int]:
+    """``(weighted, unit)`` ASAP depth of a packed op stream in one pass.
 
-    Ops are first annotated with ``prev``: the index of the latest earlier
-    op sharing a qubit (vectorized via a lexsort over (qubit, index) pairs).
-    A chunk boundary falls before the first op whose ``prev`` lands inside
-    the current chunk.  Within a chunk no two ops share a qubit, so their
-    start times are mutually independent -- the scan handles a whole chunk
-    with one gather/maximum/scatter.  A chunk holds at most ``num_sites``
-    ops (distinct qubits), which bounds the conflict search window.
-
-    The bounds depend only on the qubit pattern, not on latencies, so one
-    computation serves every cost model scanned over the same stream.
+    ``q0`` / ``q1`` / ``lat`` are per-op sequences (lists iterate fastest):
+    the physical operands as packed by :func:`mapped_op_arrays` and the
+    weighted latency of each op.  ``q0 == -1`` marks a barrier, the only op
+    without operands.  Every op starts at the latest busy time of its
+    qubits and occupies them until ``start + latency``; the unit depth runs
+    the same schedule with every latency 1.  A barrier is a global fence:
+    it lifts every qubit's busy time to the depth so far.  Equal to
+    :func:`repro.circuit.schedule.asap_depth` under both cost models for
+    non-negative latencies.
     """
 
-    k = len(q0)
-    two = q1 >= 0
-    idx = np.concatenate([np.arange(k), np.flatnonzero(two)])
-    qs = np.concatenate([q0, q1[two]])
-    order = np.lexsort((idx, qs))
-    sq, si = qs[order], idx[order]
-    same = sq[1:] == sq[:-1]
-    prev = np.full(k, -1, dtype=np.int64)
-    np.maximum.at(prev, si[1:][same], si[:-1][same])
-
-    bounds = []
-    s = 0
-    while s < k:
-        limit = min(k, s + num_sites + 1)
-        window = prev[s + 1 : limit] >= s
-        e = (s + 1 + int(np.argmax(window))) if window.any() else limit
-        bounds.append((s, e))
-        s = e
-    return bounds
-
-
-def _fast_asap_depths(
-    kinds: np.ndarray,
-    q0: np.ndarray,
-    q1: np.ndarray,
-    lats: np.ndarray,
-    num_sites: int,
-) -> np.ndarray:
-    """ASAP depths of one packed op stream under several cost models at once.
-
-    ``lats`` has shape ``(num_ops, L)``: one latency column per cost model
-    (the harness scans unit and weighted depth together).  Busy times are
-    tracked as an ``(num_sites, L)`` array, so the chunked scan costs one
-    pass regardless of ``L``.  Bit-equal per column to
-    :func:`repro.circuit.schedule.asap_depth`; barriers are global fences,
-    exactly as in the reference.
-    """
-
-    n_models = lats.shape[1]
-    barrier = KIND_CODES[GateKind.BARRIER]
-    busy = np.zeros((num_sites, n_models), dtype=np.int64)
-    depths = np.zeros(n_models, dtype=np.int64)
-    fences = np.zeros(n_models, dtype=np.int64)
-    boundaries = np.flatnonzero(kinds == barrier)
-    start = 0
-    for cut in [*boundaries.tolist(), len(kinds)]:
-        if cut > start:
-            g0, g1, gl = q0[start:cut], q1[start:cut], lats[start:cut]
-            for s, e in _chunk_bounds(g0, g1, num_sites):
-                q0c, q1c = g0[s:e], g1[s:e]
-                twoc = q1c >= 0
-                starts = busy[q0c]  # fancy indexing: already a copy
-                np.maximum(starts, fences, out=starts)
-                starts[twoc] = np.maximum(starts[twoc], busy[q1c[twoc]])
-                ends = starts + gl[s:e]
-                busy[q0c] = ends
-                busy[q1c[twoc]] = ends[twoc]
-                np.maximum(depths, ends.max(axis=0), out=depths)
-        if cut < len(kinds):  # the barrier itself
-            np.maximum(fences, busy.max(axis=0), out=fences)
-        start = cut + 1
-    return depths
-
-
-def fast_asap_depth(
-    kinds: np.ndarray,
-    q0: np.ndarray,
-    q1: np.ndarray,
-    lat: np.ndarray,
-    num_sites: int,
-) -> int:
-    """Vectorized weighted ASAP depth of a packed op stream (one cost model)."""
-
-    lats = np.ascontiguousarray(np.asarray(lat, dtype=np.int64).reshape(-1, 1))
-    return int(_fast_asap_depths(kinds, q0, q1, lats, num_sites)[0])
+    busy = [0] * num_sites
+    ubusy = [0] * num_sites
+    depth = udepth = 0
+    for a, b, w in zip(q0, q1, lat):
+        if b >= 0:
+            s, t = busy[a], busy[b]
+            e = (s if s > t else t) + w
+            busy[a] = busy[b] = e
+            if e > depth:
+                depth = e
+            s, t = ubusy[a], ubusy[b]
+            e = (s if s > t else t) + 1
+            ubusy[a] = ubusy[b] = e
+            if e > udepth:
+                udepth = e
+        elif a >= 0:
+            e = busy[a] + w
+            busy[a] = e
+            if e > depth:
+                depth = e
+            e = ubusy[a] + 1
+            ubusy[a] = e
+            if e > udepth:
+                udepth = e
+        else:
+            busy = [depth] * num_sites
+            ubusy = [udepth] * num_sites
+    return depth, udepth
 
 
 def fast_metrics(mapped: MappedCircuit) -> Tuple[int, int, int, int]:
-    """``(depth, unit_depth, swap_count, cphase_count)`` in one array pass.
+    """``(depth, unit_depth, swap_count, cphase_count)`` of a mapped circuit.
 
-    Falls back to the scalar reference for the weighted depth when the
-    topology has no vectorized latency model (custom ``op_latency``
-    override without ``op_latency_array``).
+    Ops are priced by the topology's ``op_latency_array``.  A topology that
+    overrides only the scalar ``op_latency`` gets ``None`` from it and is
+    priced op by op instead (never on a barrier, which costs nothing).
     """
 
     kinds, q0, q1 = mapped_op_arrays(mapped)
+    topo = mapped.topology
+    lat = topo.op_latency_array(kinds, q0, q1)
+    if lat is None:
+        latency = topo.op_latency
+        lat = [0 if op.kind == GateKind.BARRIER else latency(op) for op in mapped.ops]
+    else:
+        lat = lat.tolist()
+    depth, unit_depth = asap_depths(
+        q0.tolist(), q1.tolist(), lat, int(topo.num_qubits)
+    )
     swap_count = int(np.count_nonzero(kinds == KIND_CODES[GateKind.SWAP]))
     cphase_count = int(np.count_nonzero(kinds == KIND_CODES[GateKind.CPHASE]))
-    num_sites = int(mapped.topology.num_qubits)
-
-    lat = None
-    lat_fn = getattr(mapped.topology, "op_latency_array", None)
-    if lat_fn is not None:
-        lat = lat_fn(kinds, q0, q1)
-
-    unit_lat = np.ones(len(kinds), dtype=np.int64)
-    if lat is None:
-        unit_depth = fast_asap_depth(kinds, q0, q1, unit_lat, num_sites)
-        depth = asap_depth(mapped.ops, mapped.topology.op_latency)
-    elif bool(np.all(lat[kinds != KIND_CODES[GateKind.BARRIER]] == 1)):
-        unit_depth = fast_asap_depth(kinds, q0, q1, unit_lat, num_sites)
-        depth = unit_depth  # uniform cost model: the two depths coincide
-    else:
-        # One chunked scan computes both cost models together.
-        lats = np.stack([unit_lat, np.asarray(lat, dtype=np.int64)], axis=1)
-        unit_depth, depth = (
-            int(v) for v in _fast_asap_depths(kinds, q0, q1, lats, num_sites)
-        )
     return depth, unit_depth, swap_count, cphase_count
 
 
@@ -303,9 +239,8 @@ def result_from_mapped(
 ) -> CompilationResult:
     """Build a :class:`CompilationResult` from a mapped circuit.
 
-    Metric extraction goes through the vectorized :func:`fast_metrics` path
-    (one numpy op-array pass instead of six full-Python passes over the op
-    stream -- the ROADMAP flags ~1M-op streams at 1024 qubits).
+    The depths and gate counts come from :func:`fast_metrics` (one packing
+    pass and one depth scan over the op stream).
     """
 
     depth, unit_depth, swap_count, cphase_count = fast_metrics(mapped)

@@ -27,6 +27,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from ..circuit.dag import qft_type1_order_ok, qft_type2_order_ok
 from ..circuit.gates import GateKind, qft_angle
 from ..circuit.schedule import MappedCircuit
+from .layout import MAX_ERRORS_PER_CATEGORY, replay_layout
 
 __all__ = ["CoverageReport", "check_mapped_qft_structure"]
 
@@ -49,7 +50,7 @@ class CoverageReport:
     missing_pairs: int = 0
     duplicate_pairs: int = 0
 
-    MAX_ERRORS_PER_CATEGORY = 5
+    MAX_ERRORS_PER_CATEGORY = MAX_ERRORS_PER_CATEGORY
 
     def add_error(self, msg: str) -> None:
         self.ok = False
@@ -83,52 +84,9 @@ def check_mapped_qft_structure(
 
     n = num_qubits if num_qubits is not None else mapped.num_logical
     report = CoverageReport(num_logical=n)
-    topo = mapped.topology
 
     # 1 + 2: adjacency and honest logical stamps -------------------------------
-    if len(set(mapped.initial_layout)) != len(mapped.initial_layout):
-        report.add_error("initial layout is not injective")
-    phys_to_log: Dict[int, int] = {
-        p: l for l, p in enumerate(mapped.initial_layout)
-    }
-
-    adjacency_errors = 0
-    stamp_errors = 0
-    for pos, op in enumerate(mapped.ops):
-        if op.kind == GateKind.BARRIER:
-            continue
-        if op.is_two_qubit:
-            a, b = op.physical
-            if not topo.has_edge(a, b):
-                adjacency_errors += 1
-                if adjacency_errors <= CoverageReport.MAX_ERRORS_PER_CATEGORY:
-                    report.add_error(
-                        f"op {pos}: {op.kind} on non-adjacent physical qubits ({a}, {b})"
-                    )
-                else:
-                    report.ok = False
-        expected = tuple(phys_to_log.get(p, -1) for p in op.physical)
-        if expected != op.logical:
-            stamp_errors += 1
-            if stamp_errors <= CoverageReport.MAX_ERRORS_PER_CATEGORY:
-                report.add_error(
-                    f"op {pos}: logical stamp {op.logical} does not match tracked "
-                    f"layout {expected}"
-                )
-            else:
-                report.ok = False
-        if op.kind == GateKind.SWAP:
-            a, b = op.physical
-            la = phys_to_log.get(a)
-            lb = phys_to_log.get(b)
-            if lb is None:
-                phys_to_log.pop(a, None)
-            else:
-                phys_to_log[a] = lb
-            if la is None:
-                phys_to_log.pop(b, None)
-            else:
-                phys_to_log[b] = la
+    report.swap_count = replay_layout(mapped, report)
 
     # 3 + 4: H and CPHASE coverage -------------------------------------------
     h_seen: Dict[int, int] = {}
@@ -161,7 +119,6 @@ def check_mapped_qft_structure(
 
     report.h_count = sum(h_seen.values())
     report.cphase_count = sum(pair_seen.values())
-    report.swap_count = mapped.swap_count()
 
     missing_h = [q for q in range(n) if h_seen.get(q, 0) == 0]
     extra_h = [q for q, c in h_seen.items() if c > 1]
